@@ -17,6 +17,12 @@ Two digest sets are kept:
   duration, seed 42. Cheap enough for the tier-1 test suite
   (``tests/experiments/test_golden_digests.py``).
 
+The short set also pins a work counter: the kernel events each experiment
+schedules, summed over every environment it builds
+(``golden_events.json``). Results can stay byte-identical while the
+simulator does more work to reach them; the counter catches that, and a
+deliberate rise needs a refresh like a digest change does.
+
 Refreshing after an *intentional* behaviour change::
 
     PYTHONPATH=src python -m repro.experiments.golden --refresh short
@@ -31,6 +37,8 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
+from repro.sim import count_events
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .report import ExperimentResult
 
@@ -44,6 +52,7 @@ __all__ = [
     "compute_digest",
     "load_goldens",
     "save_goldens",
+    "load_event_counts",
     "verify",
 ]
 
@@ -89,6 +98,7 @@ SHORT_IDS = (
 SHORT_DURATION_US = 10_000_000.0
 
 _GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
+_EVENTS_PATH = Path(__file__).with_name("golden_events.json")
 
 
 def result_digest(result: "ExperimentResult") -> str:
@@ -185,6 +195,13 @@ def save_goldens(goldens: dict) -> None:
     _GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
 
 
+def load_event_counts() -> dict:
+    """The checked-in short-set event counts ({} when absent)."""
+    if not _EVENTS_PATH.exists():
+        return {}
+    return json.loads(_EVENTS_PATH.read_text())
+
+
 def refresh(
     which: str = "short", seed: int = 42, verbose: bool = True, jobs: int = 1
 ) -> dict:
@@ -194,16 +211,24 @@ def refresh(
     cache — a refresh must recompute from scratch). Worker round-trips
     are digest-faithful by the serialization contract of
     :mod:`repro.experiments.report`, so the refreshed file is identical
-    whichever worker count produced it.
+    whichever worker count produced it. The short set runs in-process
+    only: its event counts (``golden_events.json``) are read from the
+    environments the experiments build.
     """
     goldens = load_goldens()
     if which == "short":
         ids, duration = SHORT_IDS, SHORT_DURATION_US
+        if jobs > 1:
+            raise ValueError(
+                "the short set pins event counts, which need the in-process "
+                "run; refresh it with jobs=1"
+            )
     elif which == "full":
         ids, duration = GOLDEN_IDS, None
     else:
         raise ValueError("which must be 'short' or 'full'")
     digests = {}
+    events = {}
     if jobs > 1:
         from repro.parallel import Job, SweepRunner
 
@@ -225,17 +250,28 @@ def refresh(
         for name in ids:
             # artifacts stay off disk during digest runs: the digest covers
             # the result object, not the exporter side effects
-            digests[name] = compute_digest(
-                name, seed=seed, duration_us=duration, out_dir=None
-            )
+            with count_events() as counter:
+                digests[name] = compute_digest(
+                    name, seed=seed, duration_us=duration, out_dir=None
+                )
+            events[name] = counter.events
             if verbose:
-                print(f"{which}:{name} = {digests[name]}")
+                print(f"{which}:{name} = {digests[name]} ({counter.events} events)")
     goldens[which] = {
         "seed": seed,
         "duration_us": duration,
         "digests": digests,
     }
     save_goldens(goldens)
+    if which == "short":
+        _EVENTS_PATH.write_text(
+            json.dumps(
+                {"seed": seed, "duration_us": duration, "events": events},
+                indent=2,
+                sort_keys=True,
+            )
+            + "\n"
+        )
     return goldens
 
 
@@ -299,7 +335,8 @@ if __name__ == "__main__":  # pragma: no cover - maintenance CLI
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="refresh: worker processes for the recomputation fan-out",
+        help="refresh: worker processes for the recomputation fan-out "
+        "(full set only; the short set's event counts need one process)",
     )
     parser.add_argument(
         "--partitions", type=int, default=None, metavar="N",

@@ -67,7 +67,8 @@ class Bus:
             else None
         )
         with self._lock.request(priority=priority) as req:
-            yield req
+            if not req.processed:  # queued behind another transaction
+                yield req
             duration = self.per_transaction_us + self.transfer_time_us(nbytes)
             yield self.env.timeout(duration)
         self.bytes_transferred += nbytes

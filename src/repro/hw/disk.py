@@ -118,7 +118,8 @@ class SCSIDisk:
             else None
         )
         with self._actuator.request(priority=priority) as req:
-            yield req
+            if not req.processed:  # queued behind another command
+                yield req
             sequential = (
                 offset is not None
                 and self._last_end_offset is not None

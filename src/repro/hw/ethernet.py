@@ -101,7 +101,8 @@ class EthernetLink:
         """Process: serialize *wire_bytes* onto this link; returns latency."""
         start = self.env.now
         with self._tx.request() as req:
-            yield req
+            if not req.processed:  # queued behind another frame
+                yield req
             yield self.env.timeout(self.wire_time_us(wire_bytes) + self.propagation_us)
         self.bytes_sent += wire_bytes
         self.frames_sent += 1
@@ -215,7 +216,8 @@ class EthernetSwitch:
         self.frames_forwarded += 1
         if obs is not None:
             obs.count("switch.frames_forwarded", dest=dest)
-        port.inbox.put(frame)
+        # the inbox is unbounded and nobody waits on the put itself
+        port.inbox.put_nowait(frame)
 
     def min_cross_latency_us(self) -> float:
         """Partition-boundary declaration: the minimum time a frame takes

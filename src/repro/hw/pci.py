@@ -70,7 +70,8 @@ class PCISegment(Bus):
     def _pio(self, cost_us: float, priority: float) -> Generator[Event, None, float]:
         start = self.env.now
         with self._lock.request(priority=priority) as req:
-            yield req
+            if not req.processed:  # queued behind another transaction
+                yield req
             yield self.env.timeout(cost_us)
         self.bytes_transferred += self.width_bytes
         self.transactions += 1
@@ -118,9 +119,11 @@ class PCIBridge:
         )
         # The slower bus paces the transfer; both carry the traffic.
         with self.system_bus._lock.request(priority=priority) as sysreq:
-            yield sysreq
+            if not sysreq.processed:  # queued behind another transaction
+                yield sysreq
             with self.segment._lock.request(priority=priority) as pcireq:
-                yield pcireq
+                if not pcireq.processed:
+                    yield pcireq
                 duration = (
                     self.segment.per_transaction_us
                     + self.system_bus.per_transaction_us

@@ -129,11 +129,12 @@ class OSKernel:
         """Interrupt the worst-ranked running slice if *newcomer* outranks it."""
         worst_idx: Optional[int] = None
         worst_prio = newcomer.priority
+        bound = newcomer.bound_cpu
         for i, running in enumerate(self._running):
+            if bound is not None and i != bound:
+                continue  # a CPU the newcomer may not run on
             if running is None:
                 return  # an idle CPU will pick the newcomer up immediately
-            if newcomer.bound_cpu is not None and i != newcomer.bound_cpu:
-                continue
             if running.priority > worst_prio:
                 worst_prio = running.priority
                 worst_idx = i
@@ -162,7 +163,7 @@ class OSKernel:
         # dataclass and quantum_us is a class policy constant, so the switch
         # overhead and quantum never change for the life of the kernel.
         env = self.env
-        timeout = env.timeout
+        timeout_at = env.timeout_at
         select = self._select
         running = self._running
         last_task = self._last_task
@@ -185,37 +186,33 @@ class OSKernel:
                     pass  # stale preempt aimed at a now-idle CPU
                 continue
 
-            # Context-switch cost when the CPU changes tasks. The CPU is
-            # occupied (and preemptible) for the duration of the switch.
+            # Context-switch cost when the CPU changes tasks: charged
+            # up-front, and the slice starts once it is paid. The CPU is
+            # occupied (and preemptible) for the switch and the slice
+            # alike, so one event at the slice's end covers both.
+            start = env.now
             if switch_us > 0.0 and last_task[cpu_idx] is not req.task:
                 self.context_switches += 1
                 busy_us[cpu_idx] += switch_us
-                running[cpu_idx] = req
-                slice_started[cpu_idx] = env.now + switch_us
-                try:
-                    yield timeout(switch_us)
-                except Interrupt:
-                    # preempted mid-switch: put the victim back and
-                    # re-select so the preemptor actually runs
-                    running[cpu_idx] = None
-                    self._requeue(req)
-                    last_task[cpu_idx] = None
-                    continue
-                finally:
-                    running[cpu_idx] = None
+                start += switch_us
             last_task[cpu_idx] = req.task
-
             remaining = req.remaining_us
-            slice_us = quantum if quantum < remaining else remaining
             running[cpu_idx] = req
-            slice_started[cpu_idx] = env.now
+            slice_started[cpu_idx] = start
             preempted = False
             try:
-                yield timeout(slice_us)
+                yield timeout_at(start + (quantum if quantum < remaining else remaining))
             except Interrupt:
                 preempted = True
-            elapsed = env.now - slice_started[cpu_idx]
             running[cpu_idx] = None
+            if preempted:
+                # force a re-selection so the preemptor runs next
+                last_task[cpu_idx] = None
+                if env.now < start:
+                    # preempted mid-switch: the victim goes back untouched
+                    self._requeue(req)
+                    continue
+            elapsed = env.now - start
             req.remaining_us -= elapsed
             req.task.cpu_time_us += elapsed
             busy_us[cpu_idx] += elapsed
@@ -224,9 +221,6 @@ class OSKernel:
                 req.event.succeed()
             else:
                 self._requeue(req)
-            if preempted:
-                # force a re-selection so the preemptor runs next
-                self._last_task[cpu_idx] = None
 
     def __repr__(self) -> str:
         return (

@@ -6,7 +6,7 @@ conventions used throughout the reproduction.
 """
 
 from .calendar import CalendarEventQueue, HorizonStats
-from .environment import MS, S, US, Environment
+from .environment import MS, S, US, Environment, count_events
 from .errors import Interrupt, Preempted, SimulationError
 from .events import AllOf, AnyOf, ConditionValue, Event, Timeout
 from .monitor import RateEstimator, TallyStats, TimeSeries
@@ -17,6 +17,7 @@ from .trace import TraceEvent, Tracer
 
 __all__ = [
     "Environment",
+    "count_events",
     "US",
     "MS",
     "S",

@@ -43,7 +43,7 @@ from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
 from .rng import RandomStreams
 
-__all__ = ["Environment", "US", "MS", "S"]
+__all__ = ["Environment", "count_events", "US", "MS", "S"]
 
 #: environment variable selecting the ambient event-queue structure for
 #: every Environment that is not given an explicit ``queue=`` argument
@@ -84,6 +84,12 @@ class Environment:
         the heap, so whole experiment suites can be flipped to the
         calendar kernel without touching construction sites.
     """
+
+    #: while a list, every new environment appends itself to it — how
+    #: :class:`count_events` sums the events a whole experiment schedules
+    #: without any per-event cost (runners build their environments deep
+    #: inside, out of reach of an argument); only ``count_events`` sets it
+    _census: Optional[list["Environment"]] = None
 
     def __init__(
         self,
@@ -149,6 +155,8 @@ class Environment:
         self.event = partial(Event, self)
         self.timeout = partial(Timeout, self)
         self.process = partial(Process, self)
+        if Environment._census is not None:
+            Environment._census.append(self)
 
     # -- factories ----------------------------------------------------------
     def event(self, name: Optional[str] = None) -> Event:
@@ -158,6 +166,23 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers ``delay`` µs from now."""
         return Timeout(self, delay, value=value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """Create an event that triggers at absolute simulated time *when*.
+
+        ``timeout(when - now)`` would land on ``now + (when - now)``, which
+        in floating point need not be *when*; this schedules *when*
+        exactly, so a chain of delays can be folded into one event at the
+        time the chain would have reached.
+        """
+        if when < self.now:
+            raise SimulationError(f"timeout_at({when}) is in the past (now={self.now})")
+        ev = Event(self)
+        ev._value = value
+        # pushed PENDING like a Timeout: it triggers when the clock gets there
+        seq = self._seq = self._seq + 1
+        self._push((when, NORMAL, seq, ev))
+        return ev
 
     def process(
         self, generator: Generator[Event, Any, Any], name: Optional[str] = None
@@ -391,3 +416,27 @@ class Environment:
 
     def __repr__(self) -> str:
         return f"<Environment t={self.now:.3f}us queued={len(self._queue)}>"
+
+
+class count_events:
+    """Context manager: the kernel events scheduled by every
+    :class:`Environment` built inside the block, summed.
+
+    ``with count_events() as counter: run(); counter.events`` — the count
+    is each environment's sequence number (one per scheduled event) read
+    on exit. Environments built in other processes are not seen.
+    """
+
+    def __init__(self) -> None:
+        #: total events scheduled; set when the block exits
+        self.events: Optional[int] = None
+
+    def __enter__(self) -> "count_events":
+        if Environment._census is not None:
+            raise SimulationError("count_events blocks do not nest")
+        Environment._census = []
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        envs, Environment._census = Environment._census, None
+        self.events = sum(env._seq for env in envs)

@@ -102,13 +102,20 @@ class Resource:
         return len(self._waiters)
 
     def request(self, priority: float = 0.0, preempt: bool = False) -> Request:
-        """Claim the resource; the returned event triggers when granted."""
+        """Claim the resource; the returned event triggers when granted.
+
+        A claim granted on the spot comes back already *processed* and
+        schedules no kernel event: the claimant holds the resource from
+        this instant, so a hot caller may skip the ``yield`` when
+        ``req.processed`` is true (yielding it still works, through the
+        process's zero-delay resume). Only a claim that has to queue is
+        triggered later, by the release that grants it.
+        """
         req = Request(self, priority=priority, preempt=preempt)
         self._seq += 1
-        if len(self.users) < self.capacity:
-            self._grant(req)
-        elif preempt and self._try_preempt(req):
-            self._grant(req)
+        if len(self.users) < self.capacity or (preempt and self._try_preempt(req)):
+            self._take(req)
+            req._state = 2  # PROCESSED: nothing left to wait for
         else:
             heapq.heappush(self._waiters, (req._sort_key(self._seq), req))
         return req
@@ -148,12 +155,11 @@ class Resource:
         return min(1.0, busy / span)
 
     # -- internals -------------------------------------------------------------
-    def _grant(self, req: Request) -> None:
+    def _take(self, req: Request) -> None:
         self.users.append(req)
         req.usage_since = self.env.now
         if self._busy_since is None:
             self._busy_since = self.env.now
-        req.succeed()
 
     def _account_busy(self) -> None:
         if not self.users and self._busy_since is not None:
@@ -163,7 +169,8 @@ class Resource:
     def _wake(self) -> None:
         while self._waiters and len(self.users) < self.capacity:
             _key, req = heapq.heappop(self._waiters)
-            self._grant(req)
+            self._take(req)
+            req.succeed()
 
     def _try_preempt(self, req: Request) -> bool:
         """Evict the worst current user if *req* outranks it."""

@@ -12,7 +12,7 @@ behaviour Figure 6's load profile depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from repro.rtos.solaris import SolarisHostOS
 from repro.rtos.task import Task
@@ -28,8 +28,9 @@ class WebRequest:
     submitted_at: float
     #: CPU work to serve it, µs
     service_us: float
-    #: reply-delivery event the client waits on
-    done: object = None
+    #: called with the request when its reply has been sent (the
+    #: client's completion accounting), at the instant the worker finishes
+    on_done: Optional[Callable[["WebRequest"], None]] = None
 
 
 class ApacheServer:
@@ -94,8 +95,6 @@ class ApacheServer:
 
     def submit(self, request: WebRequest) -> None:
         """Hand a parsed request to the pool (called by httperf's network)."""
-        if request.done is None:
-            request.done = self.env.event()
         self.accept_queue.put_nowait(request)
 
     # -- processes -----------------------------------------------------------
@@ -140,6 +139,5 @@ class ApacheServer:
                 yield timeout(self._draw_io_wait_us())
             self.requests_served += 1
             response_add(env.now - request.submitted_at)
-            done = request.done
-            if done is not None and done._state == 0:  # still PENDING
-                done.succeed()
+            if request.on_done is not None:
+                request.on_done(request)

@@ -15,7 +15,6 @@ drives the host CPUs to a requested average utilization — the 45 % and
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Generator, Optional
 
 from repro.sim import Environment, RandomStreams, TallyStats
@@ -51,11 +50,10 @@ class Httperf:
         self.server = server
         self.rate_per_s = rate_per_s
         #: optional piecewise-constant schedule [(start_us, rate_per_s), ...]
-        #: scaling knob: entries are *fractions of rate_per_s* when <= 1.0?
-        #: no — entries are absolute rates; rate_per_s is the fallback
-        #: before the first entry. Used to reproduce Figure 6's ramping
-        #: utilization profiles (load applied mid-run, bursting past the
-        #: average level, then released).
+        #: of absolute aggregate rates; rate_per_s applies before the first
+        #: entry. Used to reproduce Figure 6's ramping utilization profiles
+        #: (load applied mid-run, bursting past the average level, then
+        #: released).
         self.rate_profile = rate_profile
         self.connections = connections
         self.total_calls = total_calls
@@ -117,6 +115,7 @@ class Httperf:
         rate = self.rate_per_s
         stop_at = self.stop_at_us
         gap_scale = 1_000_000.0 * self.connections
+        collect = self._collect
         while self.calls_issued < self.total_calls:
             if stop_at is not None and env.now >= stop_at:
                 return
@@ -135,17 +134,18 @@ class Httperf:
             if self.calls_issued >= self.total_calls:
                 return  # another connection used the last call while we slept
             self.calls_issued += 1
-            request = WebRequest(
-                submitted_at=env.now,
-                service_us=self.server.draw_service_us(gen),
-                done=env.event(),
+            # Completion accounting is called by the worker that sends the
+            # reply: same instant, no kernel event per call. It touches
+            # only this generator's counters, so the collects keep the
+            # order the replies were sent in.
+            self.server.submit(
+                WebRequest(
+                    submitted_at=env.now,
+                    service_us=self.server.draw_service_us(gen),
+                    on_done=collect,
+                )
             )
-            self.server.submit(request)
-            # Completion accounting rides the done event's own callback slot
-            # rather than a per-request collector process: same processing
-            # instant, two fewer kernel events per call.
-            request.done.callbacks.append(partial(self._collect, request))
 
-    def _collect(self, request: WebRequest, _done_event) -> None:
+    def _collect(self, request: WebRequest) -> None:
         self.calls_completed += 1
         self.response_time_us.add(self.env.now - request.submitted_at)

@@ -3,7 +3,9 @@
 The kernel fast-path work claims bit-identical behaviour; these tests hold
 it to that. The ``short`` digest set (figure9 / chaos / failover at 10
 simulated seconds, seed 42) is *recomputed on every tier-1 run* and
-compared byte-for-byte against the checked-in ``golden_digests.json``. The
+compared byte-for-byte against the checked-in ``golden_digests.json``;
+the same runs must schedule exactly the kernel events pinned in
+``golden_events.json``, so a rise in work per result fails too. The
 ``full`` set is too slow for tier-1 — the bench harness
 (``python -m repro.experiments bench``) verifies it — so here we only
 check its shape.
@@ -17,7 +19,7 @@ with::
 import pytest
 
 from repro.experiments import golden
-from repro.sim import Environment
+from repro.sim import Environment, SimulationError, count_events
 from repro.sim.trace import Tracer
 
 
@@ -40,6 +42,12 @@ class TestGoldenFile:
         assert set(goldens["full"]["digests"]) == set(golden.GOLDEN_IDS)
         assert goldens["full"]["seed"] == 42
 
+    def test_event_counts_cover_short_ids(self):
+        pinned = golden.load_event_counts()
+        assert set(pinned["events"]) == set(golden.SHORT_IDS)
+        assert pinned["seed"] == 42
+        assert pinned["duration_us"] == golden.SHORT_DURATION_US
+
     def test_digests_are_sha256_hex(self):
         goldens = golden.load_goldens()
         for section in ("short", "full"):
@@ -53,21 +61,57 @@ class TestGoldenFile:
 
 @pytest.mark.parametrize("name", golden.SHORT_IDS)
 def test_short_digest_is_byte_identical(name):
-    """Recompute one short-set experiment and compare to the pinned digest.
+    """Recompute one short-set experiment and compare to the pinned digest
+    and the pinned count of kernel events it scheduled.
 
     ``out_dir=None`` matches how the digests were captured: the digest
     covers the result object, never exporter side effects.
     """
     goldens = golden.load_goldens()
     want = goldens["short"]["digests"][name]
-    got = golden.compute_digest(
-        name, seed=42, duration_us=golden.SHORT_DURATION_US, out_dir=None
-    )
+    with count_events() as counter:
+        got = golden.compute_digest(
+            name, seed=42, duration_us=golden.SHORT_DURATION_US, out_dir=None
+        )
     assert got == want, (
         f"{name} drifted from its golden digest — simulated behaviour "
         "changed. If intentional, refresh with "
         "`python -m repro.experiments.golden --refresh short`."
     )
+    want_events = golden.load_event_counts()["events"][name]
+    assert counter.events == want_events, (
+        f"{name} scheduled {counter.events} kernel events, pinned "
+        f"{want_events}: same result, different work. If intentional, "
+        "refresh with `python -m repro.experiments.golden --refresh short` "
+        "and record why in CHANGES.md."
+    )
+
+
+class TestCountEvents:
+    def test_sums_every_environment_built_inside(self):
+        with count_events() as counter:
+            for delay in (1.0, 2.0):
+                env = Environment()
+                env.timeout(delay)
+                env.timeout(delay)
+                env.run()
+        assert counter.events == 4
+
+    def test_environments_built_outside_are_not_counted(self):
+        outside = Environment()
+        with count_events() as counter:
+            outside.timeout(1.0)
+        assert counter.events == 0
+
+    def test_blocks_do_not_nest(self):
+        with count_events():
+            with pytest.raises(SimulationError):
+                with count_events():
+                    pass
+
+    def test_short_refresh_refuses_worker_fan_out(self):
+        with pytest.raises(ValueError):
+            golden.refresh("short", jobs=2, verbose=False)
 
 
 def test_compute_digest_is_deterministic():

@@ -270,3 +270,84 @@ def test_daemons_produce_background_load(env):
     assert busy > 0.0
     # a few percent at most
     assert busy / (2 * 2_000_000.0) < 0.10
+
+
+# -- preemption across the context switch -------------------------------------
+
+COSTLY = CPUSpec(
+    name="costly", clock_mhz=100.0, has_fpu=True,
+    context_switch_us=10.0, cache_pollution_us=15.0,
+)
+
+
+def _preempt_at(env, arrival_us):
+    """A 1000 µs low-priority job preempted by a 100 µs job at *arrival_us*.
+
+    The switch costs 25 µs, so the low job's slice starts at 25 µs.
+    """
+    os = WindScheduler(env, cpu_spec=COSTLY)
+    finish = {}
+
+    def low(task):
+        yield task.compute(1_000.0)
+        finish["low"] = env.now
+
+    def high(task):
+        yield env.timeout(arrival_us)
+        yield task.compute(100.0)
+        finish["high"] = env.now
+
+    tasks = {"low": os.spawn("low", low, priority=200)}
+    tasks["high"] = os.spawn("high", high, priority=10)
+    env.run()
+    return os, tasks, finish
+
+
+@pytest.mark.parametrize(
+    "arrival_us, low_cpu_before_preempt",
+    [
+        (10.0, 0.0),  # mid-switch: the victim goes back with all 1000 µs
+        # exactly at switch end: the mid-slice path with elapsed 0, which
+        # leaves the victim as untouched as the mid-switch path does
+        (25.0, 0.0),
+        (30.0, 5.0),  # mid-slice: 5 µs of the slice was served
+    ],
+)
+def test_preemption_around_the_switch_boundary(env, arrival_us, low_cpu_before_preempt):
+    os, tasks, finish = _preempt_at(env, arrival_us)
+    # high: switch from its arrival, then its 100 µs
+    assert finish["high"] == arrival_us + 25.0 + 100.0
+    # low: one more switch back, then whatever the preemption left
+    assert finish["low"] == finish["high"] + 25.0 + (1_000.0 - low_cpu_before_preempt)
+    assert tasks["low"].cpu_time_us == 1_000.0
+    assert tasks["high"].cpu_time_us == 100.0
+    # idle->low, low->high, high->low; every switch charged once
+    assert os.context_switches == 3
+    assert os.busy_us == [3 * 25.0 + 1_100.0]
+
+
+class _PreemptiveSMP(SolarisHostOS):
+    """Two-CPU kernel with priority preemption (no shipped OS model)."""
+
+    preemptive = True
+
+
+def test_bound_newcomer_preempts_its_cpu_while_another_is_idle(env):
+    os = _PreemptiveSMP(env, n_cpus=2, cpu_spec=FREE_SWITCH)
+    finish = {}
+
+    def low(task):
+        yield task.compute(1_000.0)
+        finish["low"] = env.now
+
+    def urgent(task):
+        yield env.timeout(5.0)
+        yield task.compute(10.0)
+        finish["urgent"] = env.now
+
+    os.spawn("low", low, priority=200, bound_cpu=1)
+    os.spawn("urgent", urgent, priority=10, bound_cpu=1)
+    env.run()
+    # CPU 0 is idle but may not run the newcomer: CPU 1 must be preempted
+    assert finish["urgent"] == 15.0
+    assert finish["low"] == 1_010.0

@@ -75,3 +75,25 @@ def test_nested_process_chain_depth():
 
     assert env.run(until=env.process(level(100))) == 100
     assert env.now == 1.0
+
+
+def test_timeout_at_lands_on_the_absolute_time():
+    env = Environment()
+    env.run(until=51.9)
+    # a 25 µs switch then a 2024.175 µs slice, folded into one event: the
+    # chained time differs from the time of the summed delay
+    when = (51.9 + 25.0) + 2024.175
+    assert env.now + (25.0 + 2024.175) != when
+    fired = []
+    env.timeout_at(when, value="v").callbacks.append(
+        lambda ev: fired.append((env.now, ev.value))
+    )
+    env.run()
+    assert fired == [(when, "v")]
+
+
+def test_timeout_at_in_the_past_rejected():
+    env = Environment()
+    env.run(until=5.0)
+    with pytest.raises(SimulationError):
+        env.timeout_at(4.0)

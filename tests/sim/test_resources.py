@@ -319,3 +319,66 @@ class TestStorePutNowait:
         store.put_nowait(2)
         store.put(3)
         assert [store.get().value for _ in range(3)] == [1, 2, 3]
+
+
+class TestEventlessGrant:
+    """A claim granted on the spot schedules no kernel event; a queued claim
+    is granted by the release that frees the resource, as before."""
+
+    def test_uncontended_claim_schedules_no_event(self, env):
+        res = Resource(env, capacity=1)
+        before = env._seq
+        req = res.request()
+        assert env._seq == before
+        assert req.processed
+        assert res.users == [req]
+        assert req.usage_since == env.now
+
+    def test_queued_claim_is_triggered_by_the_release(self, env):
+        res = Resource(env, capacity=1)
+        holder = res.request()
+        queued = res.request()
+        assert not queued.triggered
+        before = env._seq
+        res.release(holder)
+        assert queued.triggered and not queued.processed
+        assert env._seq == before + 1
+
+    def test_contended_claims_served_by_priority_time_fifo(self, env):
+        res = Resource(env, capacity=1)
+        order = []
+
+        def user(tag, prio, arrive):
+            yield env.timeout(arrive)
+            req = res.request(priority=prio)
+            if not req.processed:
+                yield req
+            order.append((tag, env.now))
+            yield env.timeout(10.0)
+            res.release(req)
+
+        # holder first; then waiters arriving at different times and ranks
+        env.process(user("holder", 0, 0.0))
+        env.process(user("late-urgent", 1, 5.0))
+        env.process(user("early-lax", 2, 1.0))
+        env.process(user("early-urgent-a", 1, 2.0))
+        env.process(user("early-urgent-b", 1, 2.0))
+        env.run()
+        assert order == [
+            ("holder", 0.0),
+            ("early-urgent-a", 10.0),
+            ("early-urgent-b", 20.0),
+            ("late-urgent", 30.0),
+            ("early-lax", 40.0),
+        ]
+
+    def test_preemptive_grant_is_eventless_for_the_claimant(self, env):
+        res = PreemptiveResource(env, capacity=1)
+        victim = res.request(priority=5)
+        before = env._seq
+        claim = res.request(priority=1)
+        assert claim.processed
+        assert res.users == [claim]
+        # no interrupt is scheduled: the victim's claim has no process
+        assert env._seq == before
+        assert victim not in res.users

@@ -95,6 +95,33 @@ class TestHttperf:
         assert perf.calls_issued == pytest.approx(100, rel=0.5)
 
 
+    def test_completion_accounting_pinned(self, env, host):
+        """The worker calls httperf's collector directly when it sends the
+        reply; the tallies equal the ones the per-reply done event gave."""
+        server = ApacheServer(env, host, rng=RandomStreams(5))
+        perf = Httperf(env, server, rate_per_s=300.0, total_calls=400, rng=RandomStreams(6))
+        env.run(until=1_000_000.0)
+        tally = perf.response_time_us
+        assert (perf.calls_issued, perf.calls_completed, tally.count) == (324, 323, 323)
+        assert tally.total == 2568507.382804689
+        assert tally.min == 110.61835422406148
+        assert tally.max == 116309.61352614366
+        assert tally.variance == 144005093.49992839
+        # every reply is collected at the instant the server logs it
+        assert server.requests_served == perf.calls_completed
+        assert server.response_time_us.total == tally.total
+
+    def test_on_done_called_once_per_reply(self, env, host):
+        server = ApacheServer(env, host)
+        done = []
+        for _ in range(5):
+            server.submit(
+                WebRequest(submitted_at=env.now, service_us=1000.0, on_done=done.append)
+            )
+        env.run(until=1_000_000.0)
+        assert len(done) == 5 and len({id(r) for r in done}) == 5
+
+
 class TestUtilizationTargets:
     """The Figure-6 knob: drive the host to a requested average level."""
 
