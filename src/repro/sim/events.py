@@ -90,8 +90,7 @@ class Event:
         self._state = TRIGGERED
         # inlined Environment._schedule_event(delay=0): triggering is the
         # hottest scheduling site in every workload. ``env._push`` is the
-        # queue's bound insert (a C partial of heappush for the reference
-        # heap, the calendar queue's ``push`` otherwise).
+        # heap's bound insert (a C partial of heappush).
         env = self.env
         seq = env._seq = env._seq + 1
         env._push((env.now, _NORMAL, seq, self))

@@ -8,7 +8,7 @@ speedup figure.
 
 import pytest
 
-from repro.experiments.bench import QUEUES, WORKLOADS, baseline_comparability
+from repro.experiments.bench import WORKLOADS, baseline_comparability, main
 
 
 class TestBaselineComparability:
@@ -58,10 +58,20 @@ class TestBaselineComparability:
 
 
 class TestBenchConstants:
-    def test_queue_variants(self):
-        assert QUEUES == ("heap", "calendar")
-
     def test_headline_is_a_workload(self):
         from repro.experiments.bench import HEADLINE
 
         assert HEADLINE in WORKLOADS
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_nonpositive_reps_exit_2_without_a_child(self, reps, monkeypatch, capsys):
+        def no_child(*args, **kwargs):
+            raise AssertionError("a timing child was started")
+
+        monkeypatch.setattr("subprocess.run", no_child)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--reps", reps])
+        assert exit_info.value.code == 2
+        assert "valid values are 1..N" in capsys.readouterr().err

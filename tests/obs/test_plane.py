@@ -66,3 +66,17 @@ class TestMetricsDelegation:
         assert plane.registry.value("frames", stream="s1") == 1.0
         assert plane.registry.value("depth") == 4.0
         assert plane.registry.get("lat_us").observations == 1
+
+
+class TestQueueStats:
+    def test_publishes_pending_depth_of_the_heap(self):
+        env = Environment()
+        plane = ObservabilityPlane(env).install()
+        for delay in (1.0, 2.0, 2.0):
+            env.timeout(delay)
+        plane.publish_queue_stats()
+        assert plane.registry.value("sim.queue.pending", structure="heap") == 3.0
+        env.run(until=1.0)
+        plane.publish_queue_stats()
+        assert plane.registry.value("sim.queue.pending", structure="heap") == 2.0
+        assert plane.registry.get("sim.queue.pending") is None  # always labelled
