@@ -284,12 +284,11 @@ def verify(
     """Recompute one digest set and compare against the pinned file.
 
     Returns the ids whose digests do not match (empty list == verified).
-    ``partitions`` routes every experiment through partitioned execution
-    (:mod:`repro.pdes`): the campaign experiments fan their cells across
-    that many worker processes, ``pdescluster`` runs its event-level
-    window protocol on that many workers — and every digest must still
-    equal the serially-pinned one. That is the tentpole's byte-identity
-    proof::
+    ``partitions`` runs ``pdescluster``'s event-level window protocol
+    (:mod:`repro.pdes`) on that many worker processes; every other
+    experiment does not take it and runs serially. Every digest must
+    still equal the serially-pinned one — the byte-identity proof of
+    partitioned execution::
 
         PYTHONPATH=src python -m repro.experiments.golden --verify short --partitions 2
     """
@@ -340,8 +339,9 @@ if __name__ == "__main__":  # pragma: no cover - maintenance CLI
     )
     parser.add_argument(
         "--partitions", type=int, default=None, metavar="N",
-        help="verify: run every experiment partitioned across N workers; "
-        "the digests must still match the serially-pinned set",
+        help="verify: run pdescluster partitioned across N workers (the "
+        "rest run serially); the digests must still match the "
+        "serially-pinned set",
     )
     args = parser.parse_args()
     if args.partitions is not None and args.partitions < 1:

@@ -22,9 +22,10 @@ Layers:
 * :mod:`repro.pdes.cluster` — the ``pdescluster`` experiment: a
   front-door partition plus N node partitions coupled by admission
   waves across the SAN seam.
-* :mod:`repro.pdes.plan` — partition plans for the existing experiment
-  suite: seam-tagged units fanned across workers and merged back in
-  fixed order, byte-identical to the serial run.
+
+``pdescluster`` is the only experiment that runs partitioned; every
+other runner is one serial function, and ``sweep --jobs N`` fans its
+cells across processes.
 
 The correctness oracle is the same one every kernel optimisation here
 answers to: golden digests. A partitioned run must produce *the byte-
@@ -42,7 +43,6 @@ from .coordinator import (
     run_partitioned,
 )
 from .partition import CrossMessage, PartitionHarness, PartitionSpec
-from .plan import Plan, Unit, plan_axes, plans, run_plan
 
 __all__ = [
     "Seam",
@@ -61,9 +61,4 @@ __all__ = [
     "run_partitioned",
     "pdescluster_specs",
     "run_pdescluster",
-    "Plan",
-    "Unit",
-    "plans",
-    "plan_axes",
-    "run_plan",
 ]

@@ -8,7 +8,14 @@ speedup figure.
 
 import pytest
 
-from repro.experiments.bench import WORKLOADS, baseline_comparability, main
+from repro.experiments.bench import (
+    PARTITION_TARGET_SPEEDUP,
+    WORKLOADS,
+    baseline_comparability,
+    critical_path_seconds,
+    main,
+    run_partition_bench,
+)
 
 
 class TestBaselineComparability:
@@ -75,3 +82,51 @@ class TestArgumentValidation:
             main(["--reps", reps])
         assert exit_info.value.code == 2
         assert "valid values are 1..N" in capsys.readouterr().err
+
+
+# -- partition bench critical path ---------------------------------------------
+
+
+def test_partition_speedup_target_is_pinned():
+    assert PARTITION_TARGET_SPEEDUP == 1.3
+
+
+def test_critical_path_folds_overlap_and_recovers_coordinator_share():
+    timing = {
+        "wall_s": 10.0,
+        "startup_s": 2.0,
+        "worker_build_cpu_s": {0: 1.0, 1: 3.0},
+        "worker_cpu_s": {0: 2.0, 1: 4.0},
+    }
+    critical, coord = critical_path_seconds(timing)
+    # coordinator share: wall - startup - SUM(window cpu) = 10 - 2 - 6
+    assert coord == pytest.approx(2.0)
+    # critical path: MAX bring-up + MAX window + coordinator = 3 + 4 + 2
+    assert critical == pytest.approx(9.0)
+
+
+def test_critical_path_clamps_negative_coordinator_share():
+    # workers genuinely overlapped: wall < startup + sum(cpu)
+    timing = {
+        "wall_s": 4.0,
+        "startup_s": 1.0,
+        "worker_build_cpu_s": {0: 0.5, 1: 0.5},
+        "worker_cpu_s": {0: 2.0, 1: 2.0},
+    }
+    critical, coord = critical_path_seconds(timing)
+    assert coord == 0.0
+    assert critical == pytest.approx(0.5 + 2.0)
+
+
+def test_critical_path_degrades_to_serial_shape_without_worker_data():
+    # a serial run reports no per-worker CPU: critical path == wall
+    timing = {"wall_s": 7.0, "startup_s": 0.0}
+    critical, coord = critical_path_seconds(timing)
+    assert coord == pytest.approx(7.0)
+    assert critical == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize("bad", [0, -2])
+def test_partition_bench_rejects_non_positive_worker_counts(bad):
+    with pytest.raises(ValueError, match="positive worker count"):
+        run_partition_bench(bad)

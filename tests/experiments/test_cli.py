@@ -25,6 +25,15 @@ def test_unknown_experiment_errors():
         main(["not_a_table"])
 
 
+def test_partitions_rejected_outside_pdescluster(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chaos", "--partitions", "2"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "does not take --partitions" in err
+    assert "pdescluster" in err
+
+
 def test_plots_artifacts(tmp_path, capsys):
     assert main(["table5", "--plots", str(tmp_path)]) == 0
     artifact = tmp_path / "table5.txt"

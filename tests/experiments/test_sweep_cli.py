@@ -99,3 +99,30 @@ def test_job_matrices_shapes():
     clus = sweep.cluster_jobs(nodes=[2, 3], scenarios=("baseline",))
     assert [j.config["n_nodes"] for j in clus] == [2, 3]
     assert all(j.experiment == "cluster" for j in clus)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--seeds", "0"),
+        ("--seeds", "-2"),
+        ("--jobs", "0"),
+        ("--jobs", "-1"),
+        ("--timeout", "0"),
+        ("--timeout", "-5"),
+        ("--retries", "-1"),
+    ],
+)
+def test_nonsense_counts_exit_2_without_a_worker(flag, value, tmp_path, monkeypatch, capsys):
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a sweep worker was started")
+
+    monkeypatch.setattr(sweep.SweepRunner, "run", no_worker)
+    with pytest.raises(SystemExit) as exit_info:
+        sweep.main(
+            ["--experiments", "sens_costs", "--out", str(tmp_path), flag, value]
+        )
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{flag} must be" in err and "valid values are" in err
+    assert not any(tmp_path.iterdir())
