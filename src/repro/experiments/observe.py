@@ -77,8 +77,7 @@ def run_observed(
         kind, "none", duration_us=duration_us, seed=seed, chaos=install
     )
     plane = holder["plane"]
-    breakdown = LatencyBreakdown(plane.span_events(), label=kind)
-    return ObservedRun(kind=kind, run=run, plane=plane, breakdown=breakdown)
+    return ObservedRun(kind=kind, run=run, plane=plane, breakdown=plane.breakdown(kind))
 
 
 def observe(

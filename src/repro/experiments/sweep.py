@@ -36,7 +36,7 @@ import os
 import statistics
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.parallel import Job, ResultCache, SweepReport, SweepRunner
 
@@ -380,6 +380,47 @@ def _csv(text: str) -> list[str]:
     return [t for t in (s.strip() for s in text.split(",")) if t]
 
 
+def _node_count(token: str) -> int:
+    n = int(token)
+    if n < 2:
+        raise ValueError(token)
+    return n
+
+
+def _finite(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(token)
+    return x
+
+
+def _grid(
+    parser: argparse.ArgumentParser,
+    flag: str,
+    text: str,
+    parse: Callable[[str], Any],
+    what: str,
+    valid: str,
+) -> list:
+    """Parse a comma-separated grid, or exit 2 naming the valid values."""
+
+    def reject(token: str) -> None:
+        parser.error(
+            f"{flag} must be a list of {what}, got {token!r}; valid values are {valid}"
+        )
+
+    tokens = _csv(text)
+    if not tokens:
+        reject(text)
+    values = []
+    for token in tokens:
+        try:
+            values.append(parse(token))
+        except ValueError:
+            reject(token)
+    return values
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments sweep",
@@ -473,6 +514,17 @@ def main(argv: Optional[list[str]] = None) -> int:
             f"--retries must be a non-negative re-run count, got "
             f"{args.retries}; valid values are 0..N"
         )
+    if args.duration is not None and not (
+        args.duration > 0 and math.isfinite(args.duration)
+    ):
+        parser.error(
+            f"--duration must be a positive number of µs, got {args.duration}; "
+            "valid values are finite and > 0"
+        )
+    nodes = _grid(parser, "--nodes", args.nodes, _node_count, "node counts", "2..N")
+    scales = _grid(
+        parser, "--scales", args.scales, _finite, "scale factors", "finite numbers"
+    )
     if args.mode == "replicate":
         experiments = _csv(args.experiments)
         jobs = replicate_jobs(experiments, args.seeds, args.seed_base, args.duration)
@@ -482,7 +534,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
     elif args.mode == "sensitivity":
         jobs = sensitivity_jobs(
-            [float(s) for s in _csv(args.scales)],
+            scales,
             seeds=max(1, args.seeds // 2),
             seed_base=args.seed_base,
             duration_us=args.duration,
@@ -490,7 +542,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         title = "cost-constant grid + mechanism knockouts"
     elif args.mode == "cluster":
         jobs = cluster_jobs(
-            [int(n) for n in _csv(args.nodes)],
+            nodes,
             seed=args.seed_base,
             duration_us=args.duration,
         )

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from functools import cached_property
+from typing import Any, Iterable, NamedTuple, Optional
 
 from ..sim.trace import TraceEvent
 
@@ -54,8 +55,7 @@ def percentile(sorted_values: list[float], pct: float) -> float:
     return sorted_values[rank - 1]
 
 
-@dataclass(frozen=True)
-class CompletedSpan:
+class CompletedSpan(NamedTuple):
     """A begin/end pair folded into one record."""
 
     span_id: int
@@ -103,14 +103,15 @@ class HopStats:
         return percentile(sorted(self.durations_us), p)
 
     def row(self) -> dict[str, Any]:
+        ordered = sorted(self.durations_us)
         return {
             "hop": self.hop,
             "count": self.count,
             "total_us": round(self.total_us, 3),
             "mean_us": round(self.mean_us, 3),
-            "p50_us": round(self.pct(50), 3),
-            "p95_us": round(self.pct(95), 3),
-            "max_us": round(self.pct(100), 3),
+            "p50_us": round(percentile(ordered, 50), 3),
+            "p95_us": round(percentile(ordered, 95), 3),
+            "max_us": round(ordered[-1], 3),
         }
 
 
@@ -150,7 +151,13 @@ class CriticalPath:
 
 
 class LatencyBreakdown:
-    """Fold a run's span events into tables and critical paths."""
+    """Fold a run's span events into tables and critical paths.
+
+    The span list is fixed at construction, so the per-hop cells, the
+    table rows and each stream's median path are computed once, on first
+    use, and shared by every later call: treat what they return as
+    read-only.
+    """
 
     def __init__(self, events: Iterable[TraceEvent], label: str = "") -> None:
         self.label = label
@@ -160,65 +167,85 @@ class LatencyBreakdown:
 
     def _fold(self, events: Iterable[TraceEvent]) -> None:
         open_spans: dict[int, TraceEvent] = {}
+        append = self.spans.append
         for ev in events:
-            ph = ev.fields.get("ph")
-            sid = ev.fields.get("span")
-            if ph == "B" and sid is not None:
+            fields = ev.fields
+            ph = fields.get("ph")
+            if ph != "B" and ph != "E":
+                continue
+            sid = fields.get("span")
+            if sid is None:
+                continue
+            if ph == "B":
                 open_spans[sid] = ev
-            elif ph == "E" and sid is not None:
-                begin = open_spans.pop(sid, None)
-                if begin is None:
-                    continue  # begin fell off the ring; duration unknowable
-                merged = {
-                    k: v
-                    for k, v in {**begin.fields, **ev.fields}.items()
-                    if k not in ("ph", "span")
-                }
-                self.spans.append(
-                    CompletedSpan(
-                        span_id=sid,
-                        hop=begin.name,
-                        begin_us=begin.time_us,
-                        end_us=ev.time_us,
-                        fields=merged,
-                    )
-                )
+                continue
+            begin = open_spans.pop(sid, None)
+            if begin is None:
+                continue  # begin fell off the ring; duration unknowable
+            merged = {**begin.fields, **fields}
+            del merged["ph"], merged["span"]
+            append(CompletedSpan(sid, begin.name, begin.time_us, ev.time_us, merged))
         self.unfinished = len(open_spans)
+
+    @cached_property
+    def _cells(self) -> dict[Optional[str], list[HopStats]]:
+        """Per-hop stats in datapath order, keyed by scope (``None`` = every
+        stream), from one pass over the spans."""
+        durations: dict[tuple[Optional[str], str], list[float]] = {}
+        for s in self.spans:
+            duration = s.end_us - s.begin_us
+            durations.setdefault((None, s.hop), []).append(duration)
+            stream = s.fields.get("stream")
+            if stream is not None:
+                durations.setdefault((stream, s.hop), []).append(duration)
+        cells: dict[Optional[str], dict[str, HopStats]] = {None: {}}
+        for (scope, hop), values in durations.items():
+            cells.setdefault(scope, {})[hop] = HopStats(hop, values)
+        return {
+            scope: [stats[h] for h in sorted(stats, key=_hop_rank)]
+            for scope, stats in cells.items()
+        }
+
+    @cached_property
+    def _frames(self) -> dict[str, dict[int, list[CompletedSpan]]]:
+        """stream -> seq -> that frame's spans, in ring order."""
+        frames: dict[str, dict[int, list[CompletedSpan]]] = {}
+        for s in self.spans:
+            stream = s.fields.get("stream")
+            seq = s.fields.get("seq")
+            if stream is not None and seq is not None:
+                frames.setdefault(stream, {}).setdefault(seq, []).append(s)
+        return frames
 
     # -- tables -----------------------------------------------------------------
     def hops(self) -> list[str]:
-        return sorted({s.hop for s in self.spans}, key=_hop_rank)
+        return [stats.hop for stats in self._cells[None]]
 
     def streams(self) -> list[str]:
-        return sorted({s.stream for s in self.spans if s.stream is not None})
+        return sorted(scope for scope in self._cells if scope is not None)
 
     def by_hop(self, stream: Optional[str] = None) -> list[HopStats]:
         """Per-hop stats, over all streams or one stream's spans only."""
-        cells: dict[str, HopStats] = {}
-        for s in self.spans:
-            if stream is not None and s.stream != stream:
-                continue
-            cells.setdefault(s.hop, HopStats(s.hop)).add(s.duration_us)
-        return [cells[h] for h in sorted(cells, key=_hop_rank)]
+        return list(self._cells.get(stream, ()))
+
+    @cached_property
+    def _rows(self) -> list[dict[str, Any]]:
+        rows = [{"scope": "*", **stats.row()} for stats in self._cells[None]]
+        for stream in self.streams():
+            rows.extend(
+                {"scope": stream, **stats.row()} for stats in self._cells[stream]
+            )
+        return rows
 
     def table_rows(self) -> list[dict[str, Any]]:
         """All-streams table plus one sub-table per stream, flattened with a
         ``scope`` column (``*`` = every stream)."""
-        rows = []
-        for stats in self.by_hop():
-            rows.append({"scope": "*", **stats.row()})
-        for stream in self.streams():
-            for stats in self.by_hop(stream):
-                rows.append({"scope": stream, **stats.row()})
-        return rows
+        return list(self._rows)
 
     # -- critical path -------------------------------------------------------------
     def frame_paths(self, stream: str) -> list[CriticalPath]:
         """Every (stream, seq) walk, ordered by seq."""
-        frames: dict[int, list[CompletedSpan]] = {}
-        for s in self.spans:
-            if s.stream == stream and s.seq is not None:
-                frames.setdefault(s.seq, []).append(s)
+        frames = self._frames.get(stream, {})
         paths = []
         for seq in sorted(frames):
             spans = sorted(frames[seq], key=lambda s: (s.begin_us, s.end_us))
@@ -233,14 +260,20 @@ class LatencyBreakdown:
             )
         return paths
 
+    @cached_property
+    def _median_paths(self) -> dict[str, CriticalPath]:
+        medians = {}
+        for stream in self._frames:
+            ordered = sorted(
+                self.frame_paths(stream), key=lambda p: (p.end_to_end_us, p.seq)
+            )
+            medians[stream] = ordered[(len(ordered) - 1) // 2]
+        return medians
+
     def median_path(self, stream: str) -> Optional[CriticalPath]:
         """The frame whose end-to-end latency is the median — a
         representative walk, not the lucky best or unlucky worst."""
-        paths = self.frame_paths(stream)
-        if not paths:
-            return None
-        ordered = sorted(paths, key=lambda p: (p.end_to_end_us, p.seq))
-        return ordered[(len(ordered) - 1) // 2]
+        return self._median_paths.get(stream)
 
     # -- rendering ----------------------------------------------------------------
     def render_table(self) -> str:

@@ -41,15 +41,16 @@ class _TrackMap:
 
     def __init__(self) -> None:
         self._pids: dict[str, int] = {}
-        self._tids: dict[str, int] = {}
+        #: track -> (pid, tid); tids count tracks in first-appearance order
+        self._ids: dict[str, tuple[int, int]] = {}
 
     def resolve(self, track: str) -> tuple[int, int]:
-        process = track.split(":", 1)[0]
-        if process not in self._pids:
-            self._pids[process] = len(self._pids) + 1
-        if track not in self._tids:
-            self._tids[track] = len(self._tids) + 1
-        return self._pids[process], self._tids[track]
+        ids = self._ids.get(track)
+        if ids is None:
+            process = track.split(":", 1)[0]
+            pid = self._pids.setdefault(process, len(self._pids) + 1)
+            ids = self._ids[track] = (pid, len(self._ids) + 1)
+        return ids
 
     def metadata_events(self) -> list[dict[str, Any]]:
         events: list[dict[str, Any]] = []
@@ -63,8 +64,7 @@ class _TrackMap:
                     "args": {"name": process},
                 }
             )
-        for track, tid in self._tids.items():
-            pid = self._pids[track.split(":", 1)[0]]
+        for track, (pid, tid) in self._ids.items():
             events.append(
                 {
                     "ph": "M",
@@ -96,18 +96,23 @@ def render_chrome_trace(tracer: Tracer, label: str = "run") -> str:
     open_spans: dict[int, TraceEvent] = {}
     last_ts = 0.0
 
-    for ev in tracer.events():
-        last_ts = max(last_ts, ev.time_us)
-        ph = ev.fields.get("ph")
-        sid = ev.fields.get("span")
+    for ev in tracer:
+        if ev.time_us > last_ts:
+            last_ts = ev.time_us
+        fields = ev.fields
+        ph = fields.get("ph")
+        sid = fields.get("span")
         if ph == "B" and sid is not None:
             open_spans[sid] = ev
         elif ph == "E" and sid is not None:
             begin = open_spans.pop(sid, None)
             if begin is None:
                 continue  # begin evicted from the ring: no duration to draw
-            merged = {**begin.fields, **ev.fields}
-            pid, tid = tracks.resolve(merged.get("track", DEFAULT_TRACK))
+            # a fresh dict, so the args are the merged fields with the
+            # envelope keys popped (key order is moot under sort_keys)
+            args = {**begin.fields, **fields}
+            del args["ph"], args["span"]
+            pid, tid = tracks.resolve(args.pop("track", DEFAULT_TRACK))
             trace_events.append(
                 {
                     "ph": "X",
@@ -117,11 +122,11 @@ def render_chrome_trace(tracer: Tracer, label: str = "run") -> str:
                     "tid": tid,
                     "cat": begin.category,
                     "name": begin.name,
-                    "args": _span_args(merged),
+                    "args": args,
                 }
             )
         else:
-            track = ev.fields.get("track", f"{ev.category}:{ev.category}")
+            track = fields.get("track", f"{ev.category}:{ev.category}")
             pid, tid = tracks.resolve(track)
             trace_events.append(
                 {
@@ -132,7 +137,7 @@ def render_chrome_trace(tracer: Tracer, label: str = "run") -> str:
                     "tid": tid,
                     "cat": ev.category,
                     "name": ev.name,
-                    "args": _span_args(ev.fields),
+                    "args": _span_args(fields),
                 }
             )
 
@@ -195,7 +200,6 @@ def write_observe_artifacts(
         jsonl_path = os.path.join(out_dir, f"events_{label}.jsonl")
         plane.tracer.dump(jsonl_path)
         written.append(jsonl_path)
-        breakdown = LatencyBreakdown(plane.span_events(), label=label)
-        _write(f"breakdown_{label}.csv", render_breakdown_csv(breakdown))
+        _write(f"breakdown_{label}.csv", render_breakdown_csv(plane.breakdown(label)))
         _write(f"metrics_{label}.json", render_metrics_snapshot(plane.registry))
     return written

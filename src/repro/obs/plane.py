@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from ..sim.trace import Tracer
+from .breakdown import LatencyBreakdown
 from .registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,6 +76,8 @@ class ObservabilityPlane:
         self.env = env
         self.tracer = Tracer(env, categories=categories, capacity=capacity)
         self.registry = MetricsRegistry()
+        self._breakdown: Optional[LatencyBreakdown] = None
+        self._breakdown_key: Optional[tuple[str, int]] = None
 
     def install(self) -> "ObservabilityPlane":
         """Bind into the environment's hook slot (idempotent)."""
@@ -103,10 +106,10 @@ class ObservabilityPlane:
         keeps them while shedding the per-frame datapath spans."""
         if track is not None:
             fields["track"] = track
-        return self.tracer.begin_span(category, hop, parent=parent, **fields)
+        return self.tracer.record_begin(category, hop, fields, parent)
 
     def end(self, span_id: Optional[int], **fields: Any) -> None:
-        self.tracer.end_span(span_id, **fields)
+        self.tracer.record_end(span_id, fields)
 
     def instant(
         self, name: str, track: Optional[str] = None, **fields: Any
@@ -133,6 +136,19 @@ class ObservabilityPlane:
     def cluster_events(self):
         """Control-plane spans (admission/placement/failover stitching)."""
         return self.tracer.events(category=CLUSTER_CATEGORY)
+
+    def breakdown(self, label: str = "") -> LatencyBreakdown:
+        """The span ring folded into a :class:`LatencyBreakdown`.
+
+        Built once per ``(label, tracer.emitted)`` and shared, so the
+        observe runner's tables and the artifact export fold the ring
+        once; any further recorded event makes the next call refold.
+        """
+        key = (label, self.tracer.emitted)
+        if self._breakdown_key != key:
+            self._breakdown = LatencyBreakdown(self.span_events(), label=label)
+            self._breakdown_key = key
+        return self._breakdown
 
     def publish_queue_stats(self) -> None:
         """Export the event queue's pending depth as a gauge."""

@@ -18,8 +18,18 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from types import MappingProxyType
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .environment import Environment
@@ -32,14 +42,19 @@ __all__ = ["TraceEvent", "Tracer", "RESERVED_FIELD_KEYS"]
 RESERVED_FIELD_KEYS = frozenset({"t", "cat", "name"})
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded occurrence."""
+class TraceEvent(NamedTuple):
+    """One recorded occurrence.
+
+    An immutable tuple record: no per-instance ``__dict__`` and one
+    allocation per event, since a full observe run records tens of
+    thousands of them. Positional and keyword construction both work.
+    """
 
     time_us: float
     category: str
     name: str
-    fields: dict[str, Any] = field(default_factory=dict)
+    #: read-only empty default, so default-built events share no dict
+    fields: Mapping[str, Any] = MappingProxyType({})
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -52,6 +67,21 @@ class TraceEvent:
             # letting a payload field named 't'/'cat'/'name' overwrite them
             out[f"f_{key}" if key in RESERVED_FIELD_KEYS else key] = value
         return out
+
+
+def _jsonl_encoder() -> Callable[[Any], str]:
+    """One JSON encoder for a whole export, byte-equal to ``json.dumps``.
+
+    ``json.dumps`` builds a fresh C encoder for every call; an export
+    encodes one object per retained event, so it builds one and reuses it
+    (default separators, ``ensure_ascii``).
+    """
+    enc = json.JSONEncoder()
+    c_encode = c_make_encoder(
+        {}, enc.default, encode_basestring_ascii, None,
+        enc.key_separator, enc.item_separator, False, False, True,
+    )
+    return lambda obj: "".join(c_encode(obj, 0))
 
 
 class Tracer:
@@ -105,9 +135,7 @@ class Tracer:
         self.emitted += 1
         if len(self._events) == self.capacity:
             self.discarded += 1  # deque drops the oldest on append
-        self._events.append(
-            TraceEvent(time_us=self.env.now, category=category, name=name, fields=fields)
-        )
+        self._events.append(TraceEvent(self.env.now, category, name, fields))
 
     # -- spans ---------------------------------------------------------------
     def begin_span(
@@ -122,12 +150,28 @@ class Tracer:
         Returns ``None`` when *category* is filtered out — the matching
         ``end_span(None)`` is then free, so call sites need one guard only.
         """
+        return self.record_begin(category, name, fields, parent)
+
+    def record_begin(
+        self,
+        category: str,
+        name: str,
+        payload: dict[str, Any],
+        parent: Optional[int] = None,
+    ) -> Optional[int]:
+        """:meth:`begin_span` with a payload dict the tracer takes over.
+
+        ``ph``, ``span`` and (when given) ``parent`` are added to *payload*
+        in that order, after the caller's keys, and the dict becomes the
+        recorded event's ``fields``: the caller must not reuse it.
+        """
         if not self.wants(category):
             return None
         self._span_seq += 1
         span_id = self._span_seq
         self._open_spans[span_id] = (category, name, self.env.now)
-        payload = {**fields, "ph": "B", "span": span_id}
+        payload["ph"] = "B"
+        payload["span"] = span_id
         if parent is not None:
             payload["parent"] = parent
         self._record(category, name, payload)
@@ -135,20 +179,27 @@ class Tracer:
 
     def end_span(self, span_id: Optional[int], **fields: Any) -> None:
         """Close a span opened by :meth:`begin_span`."""
+        self.record_end(span_id, fields)
+
+    def record_end(self, span_id: Optional[int], payload: dict[str, Any]) -> None:
+        """:meth:`end_span` with a payload dict the tracer takes over
+        (``ph`` and ``span`` are appended to it, as in :meth:`record_begin`)."""
         if span_id is None:
             return
         opened = self._open_spans.pop(span_id, None)
         if opened is None:
             self.unbalanced_ends += 1
             return
-        category, name, _begin_us = opened
-        self._record(category, name, {**fields, "ph": "E", "span": span_id})
+        payload["ph"] = "E"
+        payload["span"] = span_id
+        self._record(opened[0], opened[1], payload)
 
     def instant(self, category: str, name: str, **fields: Any) -> None:
         """Record a zero-duration marker (rendered as an instant event)."""
         if not self.wants(category):
             return
-        self._record(category, name, {**fields, "ph": "i"})
+        fields["ph"] = "i"
+        self._record(category, name, fields)
 
     @property
     def open_span_count(self) -> int:
@@ -165,6 +216,10 @@ class Tracer:
     # -- queries --------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._events)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        """The retained events, oldest first (no copy of the ring)."""
+        return iter(self._events)
 
     def events(
         self,
@@ -188,24 +243,26 @@ class Tracer:
             out[e.category] = out.get(e.category, 0) + 1
         return out
 
+    def _jsonl_lines(self) -> Iterator[str]:
+        encode = _jsonl_encoder()
+        for e in self._events:
+            yield encode(e.to_dict()) + "\n"
+
     def to_jsonl(self) -> str:
         """JSON-lines export (one event per line, newline-terminated so
         concatenated exports stay one-event-per-line)."""
-        return "".join(json.dumps(e.to_dict()) + "\n" for e in self._events)
+        return "".join(self._jsonl_lines())
 
     def dump(self, path) -> int:
         """Stream the retained events to *path* as JSONL; returns the count.
 
         Writes line by line — no giant intermediate string — so a
-        full-capacity trace exports in O(1) extra memory.
+        full-capacity trace exports in O(1) extra memory. The bytes equal
+        :meth:`to_jsonl`.
         """
-        count = 0
         with open(path, "w", encoding="utf-8") as fh:
-            for e in self._events:
-                fh.write(json.dumps(e.to_dict()))
-                fh.write("\n")
-                count += 1
-        return count
+            fh.writelines(self._jsonl_lines())
+        return len(self._events)
 
     def __repr__(self) -> str:
         return f"<Tracer {len(self._events)} events (emitted={self.emitted})>"

@@ -1,5 +1,6 @@
 """The observe runner: hop coverage, determinism, zero perturbation."""
 
+import hashlib
 import json
 
 import pytest
@@ -86,3 +87,30 @@ class TestDeterminism:
         # every event resolves to a named track
         pids = {e["pid"] for e in doc["traceEvents"] if e["ph"] == "M"}
         assert pids
+
+
+#: sha256 over (file name, bytes), in name order, of everything
+#: ``observe(duration_us=10 s, seed=42)`` writes: the four artifacts per
+#: placement from ``write_observe_artifacts`` plus the two SLO reports.
+#: Any change to a recorded span, a fold or an encoder moves it; refresh
+#: it only for a deliberate format change, and say so in CHANGES.md.
+OBSERVE_ARTIFACTS_SHA256 = (
+    "de42bfb6c693b18c8b028f2257be802f6e2d1ff06b45d724fbe163abe6c0f841"
+)
+
+
+def test_artifact_bytes_pinned(tmp_path):
+    observe(duration_us=10 * S, seed=42, out_dir=str(tmp_path))
+    files = sorted(tmp_path.iterdir())
+    assert [f.name for f in files] == [
+        "SLO_report.json", "SLO_report.txt",
+        "breakdown_host.csv", "breakdown_ni.csv",
+        "events_host.jsonl", "events_ni.jsonl",
+        "metrics_host.json", "metrics_ni.json",
+        "trace_host.json", "trace_ni.json",
+    ]
+    h = hashlib.sha256()
+    for f in files:
+        h.update(f.name.encode())
+        h.update(f.read_bytes())
+    assert h.hexdigest() == OBSERVE_ARTIFACTS_SHA256

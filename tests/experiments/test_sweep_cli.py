@@ -111,6 +111,15 @@ def test_job_matrices_shapes():
         ("--timeout", "0"),
         ("--timeout", "-5"),
         ("--retries", "-1"),
+        ("--duration", "0"),
+        ("--duration", "-5"),
+        ("--duration", "inf"),
+        ("--nodes", "1"),
+        ("--nodes", "two"),
+        ("--nodes", "2,0"),
+        ("--nodes", ""),
+        ("--scales", "big"),
+        ("--scales", "1.5,nan"),
     ],
 )
 def test_nonsense_counts_exit_2_without_a_worker(flag, value, tmp_path, monkeypatch, capsys):

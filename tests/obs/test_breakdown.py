@@ -1,9 +1,11 @@
 """LatencyBreakdown: span folding, hop tables, critical paths."""
 
+import random
+
 import pytest
 
 from repro.obs import LatencyBreakdown
-from repro.obs.breakdown import percentile
+from repro.obs.breakdown import HOP_ORDER, percentile
 from repro.sim.trace import TraceEvent
 
 
@@ -122,3 +124,66 @@ class TestCriticalPath:
         bd = LatencyBreakdown([])
         assert bd.median_path("s1") is None
         assert "no frames" in bd.render_critical_path("s1")
+
+
+class TestOnePassMatchesRescan:
+    """The one-pass cells and the memoised rows and median paths equal a
+    per-stream rescan of every span (the fold's original shape)."""
+
+    @staticmethod
+    def _events():
+        rng = random.Random(3)
+        events, sid = [], 0
+        for stream in ("s2", "s1", None):
+            for seq in range(9):
+                for hop in rng.sample(HOP_ORDER + ("extra",), 5):
+                    sid += 1
+                    t0 = rng.randrange(0, 10_000) / 8
+                    fields = {"seq": seq} if stream is None else {"stream": stream, "seq": seq}
+                    events += [B(t0, hop, sid, **fields),
+                               E(t0 + rng.randrange(1, 400) / 4, hop, sid)]
+        return events
+
+    @staticmethod
+    def _reference_rows(spans):
+        def rows(scope, picked):
+            cells = {}
+            for s in picked:
+                cells.setdefault(s.hop, []).append(s.duration_us)
+            order = sorted(cells, key=lambda h: (HOP_ORDER + (h,)).index(h))
+            out = []
+            for hop in order:
+                d = cells[hop]
+                out.append({
+                    "scope": scope, "hop": hop, "count": len(d),
+                    "total_us": round(sum(d), 3),
+                    "mean_us": round(sum(d) / len(d), 3),
+                    "p50_us": round(percentile(sorted(d), 50), 3),
+                    "p95_us": round(percentile(sorted(d), 95), 3),
+                    "max_us": round(percentile(sorted(d), 100), 3),
+                })
+            return out
+
+        streams = sorted({s.stream for s in spans if s.stream is not None})
+        table = rows("*", spans)
+        for stream in streams:
+            table += rows(stream, [s for s in spans if s.stream == stream])
+        return table
+
+    def test_rows_and_median_paths_match_a_rescan(self):
+        bd = LatencyBreakdown(self._events())
+        assert bd.table_rows() == self._reference_rows(bd.spans)
+        assert bd.table_rows() == bd.table_rows()
+        for stream in ("s1", "s2"):
+            frames = {}
+            for s in bd.spans:
+                if s.stream == stream:
+                    frames.setdefault(s.seq, []).append(s)
+            e2e = sorted(
+                (max(x.end_us for x in f) - min(x.begin_us for x in f), seq)
+                for seq, f in frames.items()
+            )
+            want_e2e, want_seq = e2e[(len(e2e) - 1) // 2]
+            path = bd.median_path(stream)
+            assert (path.end_to_end_us, path.seq) == (want_e2e, want_seq)
+            assert bd.median_path(stream) is path

@@ -38,6 +38,23 @@ class TestSpans:
         assert begin.fields["stream"] == "s1"
         assert end.fields["bytes"] == 100
 
+    def test_payload_key_order(self):
+        env = Environment()
+        plane = ObservabilityPlane(env).install()
+        outer = plane.begin("frame")
+        sp = plane.begin("read", track="disk:sd0", parent=outer, stream="s1", seq=3)
+        plane.end(sp, bytes=100)
+        _, begin, end = plane.span_events()
+        assert list(begin.fields) == ["stream", "seq", "track", "ph", "span", "parent"]
+        assert list(end.fields) == ["bytes", "ph", "span"]
+
+    def test_unknown_span_id_counts_unbalanced(self):
+        env = Environment()
+        plane = ObservabilityPlane(env).install()
+        plane.end(41, bytes=1)
+        assert plane.tracer.unbalanced_ends == 1
+        assert len(plane.tracer) == 0
+
     def test_filtered_category_costs_one_none(self):
         env = Environment()
         plane = ObservabilityPlane(env, categories=["event"]).install()
@@ -54,6 +71,22 @@ class TestSpans:
         [e] = plane.tracer.events(category=EVENT_CATEGORY)
         assert e.name == "card_crash"
         assert e.fields["track"] == "card:rd0"
+
+
+class TestSharedBreakdown:
+    def test_one_fold_per_label_and_emitted_count(self):
+        env = Environment()
+        plane = ObservabilityPlane(env).install()
+        plane.end(plane.begin("read", stream="s1", seq=0))
+        bd = plane.breakdown("host")
+        assert plane.breakdown("host") is bd
+        assert bd.label == "host" and len(bd.spans) == 1
+        relabelled = plane.breakdown("ni")
+        assert relabelled is not bd and relabelled.label == "ni"
+        plane.end(plane.begin("wire", stream="s1", seq=0))
+        refolded = plane.breakdown("ni")
+        assert refolded is not relabelled
+        assert [s.hop for s in refolded.spans] == ["read", "wire"]
 
 
 class TestMetricsDelegation:

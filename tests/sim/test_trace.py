@@ -7,6 +7,7 @@ import pytest
 from repro.core import DWCSScheduler, StreamSpec
 from repro.media import FrameType, MediaFrame
 from repro.sim import Environment, Tracer
+from repro.sim.trace import TraceEvent
 
 
 @pytest.fixture
@@ -101,6 +102,27 @@ class TestTracer:
         assert d["f_name"] == "fake"
 
 
+class TestRecord:
+    def test_fields_cannot_be_assigned(self):
+        e = TraceEvent(1.0, "c", "n", {"a": 1})
+        with pytest.raises(AttributeError):
+            e.time_us = 2.0
+        with pytest.raises(AttributeError):
+            e.fields = {}
+        assert not hasattr(e, "__dict__")
+
+    def test_keyword_and_positional_construction_equal(self):
+        assert TraceEvent(1.0, "c", "n", {"a": 1}) == TraceEvent(
+            time_us=1.0, category="c", name="n", fields={"a": 1}
+        )
+        assert TraceEvent(1.0, "c", "n").fields == {}
+
+    def test_default_fields_are_not_shared_mutable_state(self):
+        with pytest.raises(TypeError):
+            TraceEvent(1.0, "c", "n").fields["leak"] = 1
+        assert TraceEvent(2.0, "c", "n").fields == {}
+
+
 class TestAccounting:
     def test_emitted_and_discarded_track_the_ring(self, env):
         t = Tracer(env, capacity=10)
@@ -151,6 +173,15 @@ class TestSpans:
         t.end_span(inner)
         t.end_span(outer)
 
+    def test_payload_key_order(self, env):
+        t = Tracer(env)
+        outer = t.begin_span("span", "frame")
+        inner = t.begin_span("span", "read", parent=outer, stream="s1", seq=3)
+        t.end_span(inner, bytes=100)
+        _, begin, end = t.events()
+        assert list(begin.fields) == ["stream", "seq", "ph", "span", "parent"]
+        assert list(end.fields) == ["bytes", "ph", "span"]
+
     def test_unbalanced_end_detected(self, env):
         t = Tracer(env)
         sid = t.begin_span("span", "x")
@@ -190,6 +221,20 @@ class TestDump:
         assert text == t.to_jsonl()
         assert text.endswith("\n")
         assert [json.loads(line)["i"] for line in text.splitlines()] == [0, 1, 2, 3]
+
+    def test_export_bytes_equal_per_event_json_dumps(self, env, tmp_path):
+        t = Tracer(env)
+        t.emit("c", "e", text="caf\u00e9 \u2192 \"q\"", ratio=0.1, big=1e300,
+               items=[1, 2.5, None, True], nested={"k": "v"})
+        t.emit("c", "e", t=3.25)  # reserved key: the f_ prefix path
+        sid = t.begin_span("span", "read", stream="s1")
+        t.end_span(sid, bytes=7)
+        reference = "".join(json.dumps(e.to_dict()) + "\n" for e in t.events())
+        assert t.to_jsonl() == reference
+        assert "\\u00e9" in reference  # ensure_ascii, default separators
+        path = tmp_path / "events.jsonl"
+        assert t.dump(path) == 4
+        assert path.read_bytes() == reference.encode("utf-8")
 
     def test_dump_empty_tracer(self, env, tmp_path):
         t = Tracer(env)
